@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,16 +94,10 @@ void feed_metrics(telemetry::MetricsRegistry& metrics,
 /// so estimator state is identical across resumes and jobs values).
 void feed_estimator(telemetry::CampaignEstimator& estimator,
                     const TrialResult& trial) {
-  auto outcome = telemetry::EstimatorOutcome::kMasked;
-  switch (trial.outcome) {
-    case Outcome::kMasked: outcome = telemetry::EstimatorOutcome::kMasked; break;
-    case Outcome::kSdc: outcome = telemetry::EstimatorOutcome::kSdc; break;
-    case Outcome::kDue: outcome = telemetry::EstimatorOutcome::kDue; break;
-    case Outcome::kNotInjected: return;
-  }
-  estimator.record(outcome, std::string(to_string(trial.record.model)),
-                   trial.window, trial.record.category,
-                   trial.record.injected);
+  if (trial.outcome == Outcome::kNotInjected) return;
+  estimator.record(to_estimator_outcome(trial.outcome),
+                   std::string(to_string(trial.record.model)), trial.window,
+                   trial.record.category, trial.record.injected);
 }
 
 /// A reaped trial waiting for its turn at the commit point. Completions
@@ -110,7 +105,7 @@ void feed_estimator(telemetry::CampaignEstimator& estimator,
 /// committed (journal, trace, tallies, observer) strictly in attempt-index
 /// order so any jobs value yields bit-identical campaign state.
 struct PendingTrial {
-  TrialResult trial;
+  JournalRecord record;
   double ts_ms = 0.0;
   unsigned slot = 0;
   /// Output snapshot for the observer, captured at reap time because the
@@ -152,15 +147,284 @@ telemetry::TrialProfile make_trial_profile(const TrialResult& trial,
   return p;
 }
 
+/// One call of the scheduling loop: the attempt range, the durable sink,
+/// and what each entry point does with a committed attempt.
+struct Schedule {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  CampaignJournalWriter* journal = nullptr;
+  /// Runs after the shared commit feed for every committed attempt, in
+  /// index order, with the output snapshot (empty unless capture_output
+  /// and the trial was Masked or SDC). Returns true at the boundary.
+  std::function<bool(const JournalRecord&, std::span<const std::byte>)>
+      commit;
+  /// Returns false to cancel at once (see RangeHooks::on_tick).
+  std::function<bool()> tick;
+  bool capture_output = false;
+  std::string label;  ///< log prefix
+};
+
+struct ScheduleEnd {
+  std::uint64_t next_attempt = 0;  ///< first uncommitted attempt index
+  bool stopped = false;    ///< stop_flag fired; in-flight attempts drained
+  bool cancelled = false;  ///< tick() returned false
+  bool aborted = false;    ///< circuit breaker tripped
+};
+
+/// The commit point: journal first (write-ahead of every in-memory
+/// consumer), then trace, metrics, estimator and profiler, then the entry
+/// point's own commit. Journal append and fsync flush are timed here for
+/// both entry points.
+bool commit_attempt(const CampaignConfig& config, const Schedule& schedule,
+                    const PendingTrial& ready) {
+  using Clock = std::chrono::steady_clock;
+  const JournalRecord& record = ready.record;
+  double journal_seconds = 0.0;
+  double flush_seconds = 0.0;
+  if (schedule.journal != nullptr) {
+    if (config.profiler != nullptr) {
+      const auto journal_start = Clock::now();
+      schedule.journal->append(record);
+      flush_seconds = schedule.journal->last_fsync_seconds();
+      journal_seconds =
+          std::chrono::duration<double>(Clock::now() - journal_start)
+              .count() -
+          flush_seconds;
+    } else {
+      schedule.journal->append(record);
+    }
+  }
+  if (config.trace != nullptr) {
+    config.trace->trial(make_trial_trace(record.trial, record.attempt_index,
+                                         ready.ts_ms, ready.slot));
+  }
+  if (config.metrics != nullptr) {
+    feed_metrics(*config.metrics, record.trial, /*replayed=*/false);
+  }
+  if (config.estimator != nullptr) {
+    feed_estimator(*config.estimator, record.trial);
+  }
+  if (config.profiler != nullptr) {
+    const double rob_wait =
+        std::chrono::duration<double>(Clock::now() - ready.reaped_at).count();
+    config.profiler->trial(make_trial_profile(record.trial,
+                                              record.attempt_index, rob_wait,
+                                              journal_seconds, flush_seconds));
+  }
+  return schedule.commit(record, ready.output);
+}
+
+/// The multi-worker scheduler behind run() and run_range().
+///
+/// Attempt indices are the campaign's single source of truth: index i's
+/// seed is trial_seed_for(seed, i) and its fault model is models[i % M],
+/// both independent of execution order. Up to `jobs` attempts run in
+/// flight; completions land in `pending` and commit strictly in index
+/// order, so --jobs 8, --jobs 1, any resume and any lease split agree
+/// bit-for-bit. Attempts launched past the campaign boundary (the loop
+/// cannot know in advance which attempt completes the campaign) are killed
+/// uncommitted.
+///
+/// Stop rule: stop_flag drains (no new launches; in-flight attempts finish
+/// and commit), a false tick() cancels at once.
+ScheduleEnd schedule_attempts(TrialSupervisor& supervisor,
+                              const CampaignConfig& config,
+                              const Schedule& schedule) {
+  using Clock = std::chrono::steady_clock;
+  ScheduleEnd out;
+  out.next_attempt = schedule.begin;
+  if (schedule.begin >= schedule.end) return out;
+  const unsigned jobs = std::max(1u, config.jobs);
+  supervisor.ensure_slots(jobs);
+  std::uint64_t next_index = schedule.begin;  // next fresh attempt
+  std::uint64_t& commit_index = out.next_attempt;
+  std::set<std::uint64_t> retry_queue;  // infra-failed indices, smallest first
+  std::map<std::uint64_t, PendingTrial> pending;
+  // Per-slot (attempt index, launch timestamp) of the in-flight trial.
+  std::vector<std::optional<std::pair<std::uint64_t, double>>> inflight(jobs);
+  std::size_t consecutive_failures = 0;
+  auto backoff_until = Clock::now();
+  bool boundary = false;
+  const auto publish_active = [&] {
+    if (config.metrics != nullptr) {
+      config.metrics->gauge("campaign.workers_active")
+          .set(static_cast<double>(supervisor.active_slots()));
+    }
+  };
+
+  while (true) {
+    // (1) Commit every buffered completion that is next in index order.
+    // The boundary is checked only here — the deterministic commit point —
+    // never on raw completion order.
+    while (commit_index < schedule.end) {
+      const auto it = pending.find(commit_index);
+      if (it == pending.end()) break;
+      const PendingTrial ready = std::move(it->second);
+      pending.erase(it);
+      ++commit_index;
+      boundary = commit_attempt(config, schedule, ready);
+      if (boundary) break;
+    }
+    if (boundary || commit_index >= schedule.end) break;
+
+    // (2) Stop: a stop request drains, a false tick cancels at once
+    // (committed records stand; a revoked lease must stop executing).
+    if (!out.stopped && config.stop_flag != nullptr &&
+        config.stop_flag->load(std::memory_order_relaxed)) {
+      out.stopped = true;
+    }
+    if (schedule.tick && !schedule.tick()) {
+      out.cancelled = true;
+      break;
+    }
+
+    // (3) Launch into free slots: infra-failed retries first (they reuse
+    // their original index and therefore their original seed), then fresh
+    // indices up to the end of the range.
+    if (!out.stopped && !out.aborted && Clock::now() >= backoff_until) {
+      while (supervisor.active_slots() < jobs) {
+        const bool from_retry = !retry_queue.empty();
+        std::uint64_t index = 0;
+        if (from_retry) {
+          index = *retry_queue.begin();
+        } else if (next_index < schedule.end) {
+          index = next_index;
+        } else {
+          break;  // every index is committed, pending, or in flight
+        }
+        unsigned slot = 0;
+        while (slot < jobs && supervisor.slot_active(slot)) ++slot;
+        assert(slot < jobs);
+
+        TrialConfig trial;
+        trial.trial_seed = trial_seed_for(config.seed, index);
+        trial.model = config.models[index % config.models.size()];
+        trial.policy = config.policy;
+        trial.earliest_fraction = config.earliest_fraction;
+        trial.latest_fraction = config.latest_fraction;
+
+        const double ts_ms =
+            config.trace != nullptr ? config.trace->now_ms() : 0.0;
+        try {
+          supervisor.start_trial(slot, trial);
+        } catch (const std::exception& error) {
+          // Infrastructure failure (fork, not a trial outcome): back off
+          // exponentially and retry the same index; K consecutive ones
+          // trip the circuit breaker. One completion anywhere resets the
+          // count, so a transient stretch does not accumulate forever —
+          // while a genuinely wedged host still trips it even with other
+          // slots busy.
+          ++consecutive_failures;
+          if (config.metrics != nullptr) {
+            config.metrics->counter("campaign.infra_failures").inc();
+          }
+          util::log_warn() << schedule.label
+                           << ": trial infrastructure failure ("
+                           << consecutive_failures << "/"
+                           << config.max_consecutive_failures
+                           << "): " << error.what();
+          retry_queue.insert(index);
+          if (!from_retry) ++next_index;
+          if (consecutive_failures >= config.max_consecutive_failures) {
+            out.aborted = true;
+          } else {
+            const unsigned doublings = static_cast<unsigned>(
+                std::min<std::size_t>(consecutive_failures - 1, 10));
+            backoff_until =
+                Clock::now() +
+                std::chrono::milliseconds(
+                    static_cast<std::uint64_t>(
+                        config.retry_backoff_initial_ms)
+                    << doublings);
+          }
+          break;
+        }
+        if (from_retry) {
+          retry_queue.erase(retry_queue.begin());
+        } else {
+          ++next_index;
+        }
+        inflight[slot] = {{index, ts_ms}};
+      }
+      publish_active();
+    }
+
+    // (4) Nothing in flight: wind down after a drain or an abort, or wait
+    // out a retry backoff. (Otherwise every index left is buffered in
+    // `pending` and step (1) ends the loop.)
+    if (supervisor.active_slots() == 0) {
+      if (out.stopped || out.aborted) break;
+      const auto now = Clock::now();
+      if (now < backoff_until) {
+        // Sleep in small steps so a stop request stays responsive.
+        std::this_thread::sleep_for(
+            std::min(std::chrono::duration_cast<std::chrono::milliseconds>(
+                         backoff_until - now),
+                     std::chrono::milliseconds(10)));
+      }
+      continue;
+    }
+
+    // (5) Reap: buffer completions for the commit point; any completion
+    // proves the fork machinery works again.
+    std::vector<SlotCompletion> done = supervisor.poll_slots();
+    if (done.empty()) {
+      supervisor.wait_for_completion();
+      continue;
+    }
+    consecutive_failures = 0;
+    for (SlotCompletion& completion : done) {
+      assert(inflight[completion.slot].has_value());
+      const auto [index, ts_ms] = *inflight[completion.slot];
+      inflight[completion.slot].reset();
+      PendingTrial entry;
+      entry.record.attempt_index = index;
+      entry.record.trial = std::move(completion.result);
+      entry.ts_ms = ts_ms;
+      entry.slot = completion.slot;
+      if (schedule.capture_output &&
+          (entry.record.trial.outcome == Outcome::kMasked ||
+           entry.record.trial.outcome == Outcome::kSdc)) {
+        const auto output = supervisor.slot_output(completion.slot);
+        entry.output.assign(output.begin(), output.end());
+      }
+      if (config.profiler != nullptr) entry.reaped_at = Clock::now();
+      pending.emplace(index, std::move(entry));
+    }
+    publish_active();
+  }
+
+  // Kill speculative attempts past the boundary, and anything still in
+  // flight on cancel or abort: never committed, so the commit boundary is
+  // identical for every jobs value.
+  supervisor.kill_active_slots();
+  if (config.metrics != nullptr) {
+    config.metrics->gauge("campaign.workers_active").set(0.0);
+  }
+  return out;
+}
+
 }  // namespace
 
-bool campaign_ci_stop_reached(const CampaignConfig& config,
-                              const OutcomeTally& overall) {
-  if (config.stop_ci_width <= 0.0) return false;
-  const std::uint64_t n = overall.total();
-  if (n == 0) return false;
-  return util::wilson_interval(overall.sdc, n).half_width() <=
-         config.stop_ci_width;
+CampaignBoundary campaign_boundary(const CampaignConfig& config,
+                                   std::uint64_t injected, std::uint64_t sdc) {
+  if (injected >= config.trials) return CampaignBoundary::kTrialCount;
+  if (config.stop_ci_width > 0.0 && injected > 0 &&
+      util::wilson_interval(sdc, injected).half_width() <=
+          config.stop_ci_width) {
+    return CampaignBoundary::kPrecisionTarget;
+  }
+  return CampaignBoundary::kNone;
+}
+
+telemetry::EstimatorOutcome to_estimator_outcome(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::kSdc: return telemetry::EstimatorOutcome::kSdc;
+    case Outcome::kDue: return telemetry::EstimatorOutcome::kDue;
+    case Outcome::kMasked:
+    case Outcome::kNotInjected: break;
+  }
+  return telemetry::EstimatorOutcome::kMasked;
 }
 
 void OutcomeTally::add(Outcome outcome) {
@@ -259,8 +523,6 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
 
 CampaignResult Campaign::run(const TrialObserver& observer) {
   assert(!config_.models.empty());
-  using Clock = std::chrono::steady_clock;
-  const unsigned jobs = std::max(1u, config_.jobs);
   CampaignResult result;
   result.workload = supervisor_->workload_name();
   result.time_windows = supervisor_->time_windows();
@@ -286,13 +548,21 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
     }
     header.time_windows = result.time_windows;
     header.resumed = config_.resume;
-    header.jobs = jobs;
+    header.jobs = std::max(1u, config_.jobs);
     config_.trace->campaign(header);
   }
 
+  // The boundary after the commits so far; re-evaluated after every
+  // injected commit, replayed or live (trials = 0 ends before any).
+  CampaignBoundary boundary = campaign_boundary(config_, 0, 0);
+  const auto commit_boundary = [&] {
+    boundary = campaign_boundary(config_, result.overall.total(),
+                                 result.overall.sdc);
+    return boundary != CampaignBoundary::kNone;
+  };
+
   // Durability: replay an existing journal (resume) and/or open a writer.
   std::unique_ptr<CampaignJournalWriter> journal;
-  std::size_t completed = 0;
   if (!config_.journal_path.empty()) {
     if (config_.resume) {
       const JournalContents contents = read_journal(config_.journal_path);
@@ -317,6 +587,7 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
                        });
       std::uint64_t expected = 0;
       for (const JournalRecord& record : records) {
+        if (boundary != CampaignBoundary::kNone) break;
         if (record.attempt_index < expected) {
           util::log_warn() << result.workload
                            << ": journal duplicate of attempt "
@@ -337,21 +608,17 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
         if (config_.estimator != nullptr) {
           feed_estimator(*config_.estimator, record.trial);
         }
-        if (record.trial.outcome != Outcome::kNotInjected) ++completed;
         ++expected;
         // Replay walks the same commit boundaries the original run did, so
-        // the stop rule fires at the identical attempt (stop_ci_width is
+        // the campaign ends at the identical attempt (stop_ci_width is
         // fingerprinted: the journal cannot carry a different epsilon).
-        if (campaign_ci_stop_reached(config_, result.overall)) {
-          result.stopped_early = true;
-          break;
-        }
+        commit_boundary();
       }
       result.attempts = expected;
-      result.resumed_trials = completed;
-      util::log_info() << result.workload << ": resumed " << completed << "/"
-                       << config_.trials << " trials from '"
-                       << config_.journal_path << "'";
+      result.resumed_trials = result.overall.total();
+      util::log_info() << result.workload << ": resumed "
+                       << result.resumed_trials << "/" << config_.trials
+                       << " trials from '" << config_.journal_path << "'";
       journal = std::make_unique<CampaignJournalWriter>(
           config_.journal_path, contents.valid_bytes, config_.journal_fsync,
           config_.journal_batch);
@@ -369,234 +636,34 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
     }
   }
 
-  // ---- multi-worker scheduler ----
-  //
-  // Attempt indices are the campaign's single source of truth: index i's
-  // seed is trial_seed_for(seed, i) and its fault model is models[i % M],
-  // both independent of execution order. Up to `jobs` attempts run in
-  // flight; completions land in `pending` and commit strictly in index
-  // order, so --jobs 8, --jobs 1, and any resume agree bit-for-bit.
-  // Attempts launched past the finish line (the scheduler cannot know in
-  // advance which attempt completes the campaign) are killed uncommitted.
-  supervisor_->ensure_slots(jobs);
-  const std::uint64_t retry_budget =
-      config_.trials * (1 + config_.max_retry_factor);
-  std::uint64_t next_index = result.attempts;   // next fresh attempt
-  std::uint64_t commit_index = result.attempts; // next index to commit
-  std::set<std::uint64_t> retry_queue;  // infra-failed indices, smallest first
-  std::map<std::uint64_t, PendingTrial> pending;
-  // Per-slot (attempt index, launch timestamp) of the in-flight trial.
-  std::vector<std::optional<std::pair<std::uint64_t, double>>> inflight(jobs);
-  std::size_t consecutive_failures = 0;
-  bool draining = false;  // stop requested: no new launches, commit the rest
-  auto backoff_until = Clock::now();
-
-  while (true) {
-    // (1) Commit every buffered completion that is next in index order.
-    while (completed < config_.trials) {
-      const auto it = pending.find(commit_index);
-      if (it == pending.end()) break;
-      PendingTrial ready = std::move(it->second);
-      pending.erase(it);
-      // Journal first (write-ahead of the in-memory tallies), then tally.
-      double journal_seconds = 0.0;
-      double flush_seconds = 0.0;
-      if (journal != nullptr) {
-        JournalRecord record;
-        record.attempt_index = commit_index;
-        record.trial = ready.trial;
-        if (config_.profiler != nullptr) {
-          const auto journal_start = Clock::now();
-          journal->append(record);
-          flush_seconds = journal->last_fsync_seconds();
-          journal_seconds =
-              std::chrono::duration<double>(Clock::now() - journal_start)
-                  .count() -
-              flush_seconds;
-        } else {
-          journal->append(record);
-        }
+  if (boundary == CampaignBoundary::kNone) {
+    Schedule schedule;
+    schedule.begin = result.attempts;
+    schedule.end = config_.trials * (1 + config_.max_retry_factor);
+    schedule.journal = journal.get();
+    schedule.capture_output = static_cast<bool>(observer);
+    schedule.label = result.workload;
+    schedule.commit = [&](const JournalRecord& record,
+                          std::span<const std::byte> output) {
+      accumulate_trial(result, record.trial);
+      if (record.trial.outcome == Outcome::kNotInjected) return false;
+      if (observer) observer(record.trial, output);
+      if (result.overall.total() % 500 == 0) {
+        util::log_info() << result.workload << ": "
+                         << result.overall.total() << "/" << config_.trials
+                         << " trials";
       }
-      if (config_.trace != nullptr) {
-        config_.trace->trial(make_trial_trace(ready.trial, commit_index,
-                                              ready.ts_ms, ready.slot));
-      }
-      if (config_.metrics != nullptr) {
-        feed_metrics(*config_.metrics, ready.trial, /*replayed=*/false);
-      }
-      accumulate_trial(result, ready.trial);
-      if (config_.estimator != nullptr) {
-        feed_estimator(*config_.estimator, ready.trial);
-      }
-      if (config_.profiler != nullptr) {
-        const double rob_wait =
-            std::chrono::duration<double>(Clock::now() - ready.reaped_at)
-                .count();
-        config_.profiler->trial(make_trial_profile(
-            ready.trial, commit_index, rob_wait, journal_seconds,
-            flush_seconds));
-      }
-      ++commit_index;
-      if (ready.trial.outcome == Outcome::kNotInjected) continue;
-      ++completed;
-      if (observer) {
-        const bool has_output = ready.trial.outcome == Outcome::kMasked ||
-                                ready.trial.outcome == Outcome::kSdc;
-        observer(ready.trial, has_output ? std::span<const std::byte>(
-                                               ready.output)
-                                         : std::span<const std::byte>{});
-      }
-      if (completed % 500 == 0) {
-        util::log_info() << result.workload << ": " << completed << "/"
-                         << config_.trials << " trials";
-      }
-      // Sequential stop, checked only here — the deterministic commit
-      // boundary — never on raw completion order. Buffered completions
-      // past this attempt stay uncommitted (killed below), exactly like
-      // finish-line overshoot, so every jobs value stops identically.
-      if (campaign_ci_stop_reached(config_, result.overall)) {
-        result.stopped_early = true;
-        break;
-      }
-    }
-    if (result.stopped_early || completed >= config_.trials) break;
-
-    // (2) Cooperative stop: finish what is in flight, commit it, return.
-    if (!draining && config_.stop_flag != nullptr &&
-        config_.stop_flag->load(std::memory_order_relaxed)) {
-      result.interrupted = true;
-      draining = true;
-    }
-
-    // (3) Launch into free slots: infra-failed retries first (they reuse
-    // their original index and therefore their original seed), then fresh
-    // indices up to the retry budget.
-    if (!draining && !result.aborted && Clock::now() >= backoff_until) {
-      while (supervisor_->active_slots() < jobs) {
-        const bool from_retry = !retry_queue.empty();
-        std::uint64_t index = 0;
-        if (from_retry) {
-          index = *retry_queue.begin();
-        } else if (next_index < retry_budget) {
-          index = next_index;
-        } else {
-          break;  // attempt budget exhausted
-        }
-        unsigned slot = 0;
-        while (slot < jobs && supervisor_->slot_active(slot)) ++slot;
-        assert(slot < jobs);
-
-        TrialConfig trial;
-        trial.trial_seed = trial_seed_for(config_.seed, index);
-        trial.model = config_.models[index % config_.models.size()];
-        trial.policy = config_.policy;
-        trial.earliest_fraction = config_.earliest_fraction;
-        trial.latest_fraction = config_.latest_fraction;
-
-        const double ts_ms =
-            config_.trace != nullptr ? config_.trace->now_ms() : 0.0;
-        try {
-          supervisor_->start_trial(slot, trial);
-        } catch (const std::exception& error) {
-          // Infrastructure failure (fork, not a trial outcome): back off
-          // exponentially and retry the same index; K consecutive ones
-          // trip the circuit breaker. One completion anywhere resets the
-          // count, so a transient stretch does not accumulate forever —
-          // while a genuinely wedged host still trips it even with other
-          // slots busy.
-          ++consecutive_failures;
-          if (config_.metrics != nullptr) {
-            config_.metrics->counter("campaign.infra_failures").inc();
-          }
-          util::log_warn() << result.workload
-                           << ": trial infrastructure failure ("
-                           << consecutive_failures << "/"
-                           << config_.max_consecutive_failures
-                           << "): " << error.what();
-          retry_queue.insert(index);
-          if (!from_retry) ++next_index;
-          if (consecutive_failures >= config_.max_consecutive_failures) {
-            result.aborted = true;
-          } else {
-            const unsigned doublings = static_cast<unsigned>(
-                std::min<std::size_t>(consecutive_failures - 1, 10));
-            backoff_until =
-                Clock::now() +
-                std::chrono::milliseconds(
-                    static_cast<std::uint64_t>(
-                        config_.retry_backoff_initial_ms)
-                    << doublings);
-          }
-          break;
-        }
-        if (from_retry) {
-          retry_queue.erase(retry_queue.begin());
-        } else {
-          ++next_index;
-        }
-        inflight[slot] = {{index, ts_ms}};
-      }
-      if (config_.metrics != nullptr) {
-        config_.metrics->gauge("campaign.workers_active")
-            .set(static_cast<double>(supervisor_->active_slots()));
-      }
-    }
-
-    // (4) Nothing in flight: either the campaign is winding down (drain,
-    // abort, budget exhausted) or every launch is gated on backoff.
-    if (supervisor_->active_slots() == 0) {
-      if (draining || result.aborted) break;
-      if (retry_queue.empty() && next_index >= retry_budget) break;
-      const auto now = Clock::now();
-      if (now < backoff_until) {
-        // Sleep in small steps so a stop request stays responsive.
-        std::this_thread::sleep_for(
-            std::min(std::chrono::duration_cast<std::chrono::milliseconds>(
-                         backoff_until - now),
-                     std::chrono::milliseconds(10)));
-      }
-      continue;
-    }
-
-    // (5) Reap: buffer completions for the commit point; any completion
-    // proves the fork machinery works again.
-    std::vector<SlotCompletion> done = supervisor_->poll_slots();
-    if (done.empty()) {
-      supervisor_->wait_for_completion();
-      continue;
-    }
-    consecutive_failures = 0;
-    for (SlotCompletion& completion : done) {
-      assert(inflight[completion.slot].has_value());
-      const auto [index, ts_ms] = *inflight[completion.slot];
-      inflight[completion.slot].reset();
-      PendingTrial entry;
-      entry.trial = std::move(completion.result);
-      entry.ts_ms = ts_ms;
-      entry.slot = completion.slot;
-      if (observer && (entry.trial.outcome == Outcome::kMasked ||
-                       entry.trial.outcome == Outcome::kSdc)) {
-        const auto output = supervisor_->slot_output(completion.slot);
-        entry.output.assign(output.begin(), output.end());
-      }
-      if (config_.profiler != nullptr) entry.reaped_at = Clock::now();
-      pending.emplace(index, std::move(entry));
-    }
-    if (config_.metrics != nullptr) {
-      config_.metrics->gauge("campaign.workers_active")
-          .set(static_cast<double>(supervisor_->active_slots()));
-    }
+      return commit_boundary();
+    };
+    const ScheduleEnd end =
+        schedule_attempts(*supervisor_, config_, schedule);
+    result.attempts = end.next_attempt;
+    result.interrupted = end.stopped;
+    result.aborted = end.aborted;
   }
-  result.attempts = commit_index;
+  result.stopped_early = boundary == CampaignBoundary::kPrecisionTarget;
 
-  // Cancel speculative attempts past the finish line (and anything still
-  // in flight on abort): killed, never journaled, so the commit boundary
-  // is identical for every jobs value.
-  supervisor_->kill_active_slots();
-  if (config_.metrics != nullptr) {
-    config_.metrics->gauge("campaign.workers_active").set(0.0);
-  }
-
+  const std::uint64_t completed = result.overall.total();
   if (journal != nullptr) journal->sync();
   if (config_.profiler != nullptr) config_.profiler->sync();
   if (config_.trace != nullptr) {
@@ -627,7 +694,7 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
     util::log_warn() << result.workload << ": campaign aborted after "
                      << config_.max_consecutive_failures
                      << " consecutive infrastructure failures";
-  } else if (completed < config_.trials) {
+  } else if (boundary == CampaignBoundary::kNone) {
     util::log_warn() << result.workload << ": campaign stopped after "
                      << result.attempts << " attempts with only " << completed
                      << " injected trials";
@@ -638,196 +705,24 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
 RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
                                 const RangeHooks& hooks) {
   assert(!config_.models.empty());
-  using Clock = std::chrono::steady_clock;
-  const unsigned jobs = std::max(1u, config_.jobs);
   RangeResult result;
-  if (begin >= end) return result;
-
-  // Same scheduler shape as run(): counter-indexed seeds, reorder-buffer
-  // commit, infra retries with backoff and a circuit breaker — but the
-  // finish line is simply `end` and durability belongs to on_commit. No
-  // stop rule here: a lease is executed to completion and the campaign
-  // boundary (trial count or --stop-ci-width) is re-derived at merge time,
-  // where it lands on the identical attempt a --jobs 1 run would.
-  supervisor_->ensure_slots(jobs);
-  std::uint64_t next_index = begin;
-  std::uint64_t commit_index = begin;
-  std::set<std::uint64_t> retry_queue;
-  std::map<std::uint64_t, PendingTrial> pending;
-  std::vector<std::optional<std::pair<std::uint64_t, double>>> inflight(jobs);
-  std::size_t consecutive_failures = 0;
-  auto backoff_until = Clock::now();
-
-  while (true) {
-    // (1) Commit buffered completions that are next in index order.
-    while (commit_index < end) {
-      const auto it = pending.find(commit_index);
-      if (it == pending.end()) break;
-      PendingTrial ready = std::move(it->second);
-      pending.erase(it);
-      // Durability lives behind on_commit here (the fabric worker's shard
-      // journal), so its whole duration is the journal phase; the flush
-      // split is unavailable through the hook and reads as zero.
-      double journal_seconds = 0.0;
-      if (hooks.on_commit) {
-        JournalRecord record;
-        record.attempt_index = commit_index;
-        record.trial = ready.trial;
-        if (config_.profiler != nullptr) {
-          const auto journal_start = Clock::now();
-          hooks.on_commit(record);
-          journal_seconds =
-              std::chrono::duration<double>(Clock::now() - journal_start)
-                  .count();
-        } else {
-          hooks.on_commit(record);
-        }
-      }
-      if (config_.trace != nullptr) {
-        config_.trace->trial(make_trial_trace(ready.trial, commit_index,
-                                              ready.ts_ms, ready.slot));
-      }
-      if (config_.metrics != nullptr) {
-        feed_metrics(*config_.metrics, ready.trial, /*replayed=*/false);
-      }
-      if (config_.estimator != nullptr) {
-        feed_estimator(*config_.estimator, ready.trial);
-      }
-      if (config_.profiler != nullptr) {
-        const double rob_wait =
-            std::chrono::duration<double>(Clock::now() - ready.reaped_at)
-                .count();
-        config_.profiler->trial(make_trial_profile(
-            ready.trial, commit_index, rob_wait, journal_seconds,
-            /*flush_seconds=*/0.0));
-      }
-      ++commit_index;
-      ++result.committed;
-      if (ready.trial.outcome != Outcome::kNotInjected) ++result.injected;
-    }
-    if (commit_index >= end) break;
-
-    // (2) Cancellation: a revoked lease or a stop request abandons the
-    // range immediately — committed records stand, in-flight children are
-    // killed below, and overlap with whoever re-executes the range dedups
-    // at merge (counter-indexed seeds make the re-execution identical).
-    if (config_.stop_flag != nullptr &&
-        config_.stop_flag->load(std::memory_order_relaxed)) {
-      result.cancelled = true;
-      break;
-    }
-    if (hooks.on_tick && !hooks.on_tick()) {
-      result.cancelled = true;
-      break;
-    }
-
-    // (3) Launch into free slots: retries first (same index, same seed),
-    // then fresh indices up to the end of the range.
-    if (!result.aborted && Clock::now() >= backoff_until) {
-      while (supervisor_->active_slots() < jobs) {
-        const bool from_retry = !retry_queue.empty();
-        std::uint64_t index = 0;
-        if (from_retry) {
-          index = *retry_queue.begin();
-        } else if (next_index < end) {
-          index = next_index;
-        } else {
-          break;  // every index is committed, pending, or in flight
-        }
-        unsigned slot = 0;
-        while (slot < jobs && supervisor_->slot_active(slot)) ++slot;
-        assert(slot < jobs);
-
-        TrialConfig trial;
-        trial.trial_seed = trial_seed_for(config_.seed, index);
-        trial.model = config_.models[index % config_.models.size()];
-        trial.policy = config_.policy;
-        trial.earliest_fraction = config_.earliest_fraction;
-        trial.latest_fraction = config_.latest_fraction;
-
-        const double ts_ms =
-            config_.trace != nullptr ? config_.trace->now_ms() : 0.0;
-        try {
-          supervisor_->start_trial(slot, trial);
-        } catch (const std::exception& error) {
-          ++consecutive_failures;
-          if (config_.metrics != nullptr) {
-            config_.metrics->counter("campaign.infra_failures").inc();
-          }
-          util::log_warn() << "range [" << begin << "," << end
-                           << "): trial infrastructure failure ("
-                           << consecutive_failures << "/"
-                           << config_.max_consecutive_failures
-                           << "): " << error.what();
-          retry_queue.insert(index);
-          if (!from_retry) ++next_index;
-          if (consecutive_failures >= config_.max_consecutive_failures) {
-            result.aborted = true;
-          } else {
-            const unsigned doublings = static_cast<unsigned>(
-                std::min<std::size_t>(consecutive_failures - 1, 10));
-            backoff_until =
-                Clock::now() +
-                std::chrono::milliseconds(
-                    static_cast<std::uint64_t>(
-                        config_.retry_backoff_initial_ms)
-                    << doublings);
-          }
-          break;
-        }
-        if (from_retry) {
-          retry_queue.erase(retry_queue.begin());
-        } else {
-          ++next_index;
-        }
-        inflight[slot] = {{index, ts_ms}};
-      }
-      if (config_.metrics != nullptr) {
-        config_.metrics->gauge("campaign.workers_active")
-            .set(static_cast<double>(supervisor_->active_slots()));
-      }
-    }
-
-    // (4) Nothing in flight: abort, wait out a retry backoff, or loop back
-    // to the commit point (everything left must be buffered in `pending`).
-    if (supervisor_->active_slots() == 0) {
-      if (result.aborted) break;
-      const auto now = Clock::now();
-      if (now < backoff_until) {
-        std::this_thread::sleep_for(
-            std::min(std::chrono::duration_cast<std::chrono::milliseconds>(
-                         backoff_until - now),
-                     std::chrono::milliseconds(10)));
-      }
-      continue;
-    }
-
-    // (5) Reap: buffer completions for the commit point.
-    std::vector<SlotCompletion> done = supervisor_->poll_slots();
-    if (done.empty()) {
-      supervisor_->wait_for_completion();
-      continue;
-    }
-    consecutive_failures = 0;
-    for (SlotCompletion& completion : done) {
-      assert(inflight[completion.slot].has_value());
-      const auto [index, ts_ms] = *inflight[completion.slot];
-      inflight[completion.slot].reset();
-      PendingTrial entry;
-      entry.trial = std::move(completion.result);
-      entry.ts_ms = ts_ms;
-      entry.slot = completion.slot;
-      if (config_.profiler != nullptr) entry.reaped_at = Clock::now();
-      pending.emplace(index, std::move(entry));
-    }
-  }
-
-  // Kill in-flight attempts past a cancel/abort uncommitted, exactly like
-  // run() kills finish-line overshoot.
-  supervisor_->kill_active_slots();
-  if (config_.metrics != nullptr) {
-    config_.metrics->gauge("campaign.workers_active").set(0.0);
-  }
+  Schedule schedule;
+  schedule.begin = begin;
+  schedule.end = end;
+  schedule.journal = hooks.journal;
+  schedule.tick = hooks.on_tick;
+  schedule.label =
+      "range [" + std::to_string(begin) + "," + std::to_string(end) + ")";
+  schedule.commit = [&](const JournalRecord& record,
+                        std::span<const std::byte>) {
+    ++result.committed;
+    if (record.trial.outcome != Outcome::kNotInjected) ++result.injected;
+    if (hooks.on_commit) hooks.on_commit(record);
+    return false;  // the campaign boundary is re-derived at merge time
+  };
+  const ScheduleEnd loop = schedule_attempts(*supervisor_, config_, schedule);
+  result.cancelled = loop.stopped || loop.cancelled;
+  result.aborted = loop.aborted;
   return result;
 }
 

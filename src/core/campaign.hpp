@@ -73,9 +73,10 @@ struct CampaignConfig {
   JournalFsync journal_fsync = JournalFsync::kEveryRecord;
   /// Group-commit knobs, used only with JournalFsync::kBatch.
   JournalBatchPolicy journal_batch;
-  /// Cooperative stop: checked between trials. When it becomes true the
-  /// in-flight trial finishes, the journal is flushed, and run() returns
-  /// with result.interrupted set. Wire SIGINT/SIGTERM handlers to this.
+  /// Cooperative stop: checked between trials. When it becomes true no
+  /// new attempt launches, the in-flight ones finish and commit, and run()
+  /// returns with result.interrupted set (run_range with cancelled set).
+  /// Wire SIGINT/SIGTERM handlers to this.
   const std::atomic<bool>* stop_flag = nullptr;
   /// Circuit breaker: abort (journal intact, result.aborted set) after this
   /// many consecutive infrastructure failures (fork/waitpid errors — not
@@ -178,13 +179,24 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
                                    std::string_view workload,
                                    unsigned time_windows);
 
-/// The sequential stop rule (--stop-ci-width), evaluated only at
-/// attempt-order commit boundaries: true once the Wilson 95% CI half-width
-/// of the overall SDC proportion is at or under the configured epsilon.
-/// Shared by the live scheduler, journal replay, and the fabric shard
-/// merge so the three can never disagree on where a campaign ends.
-bool campaign_ci_stop_reached(const CampaignConfig& config,
-                              const OutcomeTally& overall);
+/// Why a campaign ends at a given attempt-order commit boundary.
+enum class CampaignBoundary {
+  kNone,             ///< keep going
+  kTrialCount,       ///< the trials-th injected trial committed
+  kPrecisionTarget,  ///< --stop-ci-width: SDC CI half-width <= epsilon
+};
+
+/// The one campaign-boundary rule, evaluated after every injected commit
+/// with the attempt-order tallies so far (`injected` trials, `sdc` of
+/// them). The trial count wins when both hold. Shared by the live commit
+/// point, journal replay, the fabric shard merge and the coordinator's
+/// fleet fold, so the four can never disagree on where a campaign ends.
+CampaignBoundary campaign_boundary(const CampaignConfig& config,
+                                   std::uint64_t injected, std::uint64_t sdc);
+
+/// The streaming estimator's class for a committed outcome (NotInjected
+/// attempts never reach the estimator; they map like Masked).
+telemetry::EstimatorOutcome to_estimator_outcome(Outcome outcome);
 
 /// Observer invoked after every trial; `output` is non-empty only for
 /// completed (Masked/SDC) trials and is valid for the duration of the call.
@@ -193,22 +205,29 @@ using TrialObserver =
 
 /// Control hooks for run_range(), the fabric worker's lease executor.
 struct RangeHooks {
-  /// Invoked for every committed attempt, strictly in index order. The
-  /// fabric worker appends the record to its shard journal here; run_range
-  /// itself never touches config.journal_path.
+  /// Durable sink for every committed attempt (the fabric worker's shard
+  /// journal), appended at the same point and timed the same way as
+  /// run()'s own journal. nullptr = no journal; run_range never touches
+  /// config.journal_path.
+  CampaignJournalWriter* journal = nullptr;
+  /// Invoked for every committed attempt, strictly in index order, after
+  /// the journal append.
   std::function<void(const JournalRecord&)> on_commit;
   /// Invoked once per scheduler iteration (poll pace, sub-millisecond to
-  /// tens of ms). Return false to cancel the range: in-flight children are
-  /// killed uncommitted, already-committed records stand. The fabric
-  /// worker pumps its coordinator socket and sends heartbeats from here,
-  /// keeping all network I/O off the per-trial hot path.
+  /// tens of ms). Return false to cancel the range at once: in-flight
+  /// children are killed uncommitted, already-committed records stand. The
+  /// fabric worker pumps its coordinator socket and sends heartbeats from
+  /// here, keeping all network I/O off the per-trial hot path.
   std::function<bool()> on_tick;
 };
 
 struct RangeResult {
   std::uint64_t committed = 0;  ///< records committed by this call
   std::uint64_t injected = 0;   ///< of which were injected trials
-  bool cancelled = false;  ///< on_tick returned false or stop_flag fired
+  /// on_tick returned false, or stop_flag fired (in-flight attempts were
+  /// drained and committed first). Either way the range is not reported
+  /// done.
+  bool cancelled = false;
   bool aborted = false;    ///< circuit breaker tripped
 };
 
@@ -217,14 +236,15 @@ class Campaign {
   Campaign(TrialSupervisor& supervisor, CampaignConfig config)
       : supervisor_(&supervisor), config_(std::move(config)) {}
 
-  /// Runs the campaign. The supervisor must already have a golden copy.
+  /// Runs the campaign: replays the journal (resume), then schedules
+  /// attempts until the campaign boundary. The supervisor must already
+  /// have a golden copy.
   CampaignResult run(const TrialObserver& observer = nullptr);
 
-  /// Executes exactly attempt indices [begin, end) with the same slot
-  /// scheduler, in-order commit point, retry/backoff, and circuit breaker
-  /// as run() — but no finish line, stop rule, or journal: the caller (a
-  /// fabric worker executing a lease) owns durability via hooks.on_commit
-  /// and the campaign-level boundary is decided at merge time. Seeds are
+  /// Executes exactly attempt indices [begin, end) with run()'s scheduling
+  /// loop, but with no campaign boundary: the caller (a fabric worker
+  /// executing a lease) passes its own journal through hooks, and the
+  /// campaign-level boundary is decided at merge time. Seeds are
   /// counter-indexed, so the records this produces are bit-identical to
   /// the same indices of a --jobs 1 run, whatever process executes them.
   RangeResult run_range(std::uint64_t begin, std::uint64_t end,

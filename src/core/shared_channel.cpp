@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -91,7 +92,7 @@ void SharedChannel::store_record(const InjectionRecord& record) {
 
 void SharedChannel::store_output(std::span<const std::byte> output) {
   assert(output.size() <= capacity_);
-  std::memcpy(payload_, output.data(), output.size());
+  std::copy(output.begin(), output.end(), payload_);  // empty: null data()
   header_->output_size = output.size();
   header_->output_ready.store(1, std::memory_order_release);
 }
@@ -104,7 +105,24 @@ bool SharedChannel::record_ready() const {
   return header_->record_ready.load(std::memory_order_acquire) != 0;
 }
 
-InjectionRecord SharedChannel::record() const { return header_->record; }
+// Parent-side reads treat the mapping as untrusted child output: an
+// injected pointer fault can scribble anywhere in the child's address
+// space, this mapping included. Everything the parent indexes, casts or
+// prints with is bounded here; well-behaved children read back unchanged.
+InjectionRecord SharedChannel::record() const {
+  InjectionRecord out;
+  std::memcpy(&out, &header_->record, sizeof(out));
+  // Flags load as raw bytes, so a scribbled byte is never an invalid bool.
+  const auto* raw = reinterpret_cast<const unsigned char*>(&header_->record);
+  out.injected = raw[offsetof(InjectionRecord, injected)] != 0;
+  out.changed = raw[offsetof(InjectionRecord, changed)] != 0;
+  // NaN fails both comparisons and reads as 0.
+  const double fraction = out.progress_fraction;
+  out.progress_fraction = fraction >= 0.0 ? std::min(fraction, 1.0) : 0.0;
+  out.site_name[sizeof(out.site_name) - 1] = '\0';
+  out.category[sizeof(out.category) - 1] = '\0';
+  return out;
+}
 
 std::vector<PhaseRecord> SharedChannel::phases() const {
   const std::uint32_t count =
@@ -112,12 +130,16 @@ std::vector<PhaseRecord> SharedChannel::phases() const {
                                   std::memory_order_acquire),
                               kMaxPhases);
   std::vector<PhaseRecord> out(count);
-  for (std::uint32_t i = 0; i < count; ++i) out[i] = header_->phases[i];
+  for (std::uint32_t i = 0; i < count; ++i) {
+    out[i] = header_->phases[i];
+    out[i].name[sizeof(out[i].name) - 1] = '\0';
+  }
   return out;
 }
 
 std::span<const std::byte> SharedChannel::output() const {
-  return {payload_, header_->output_size};
+  return {payload_, static_cast<std::size_t>(std::min<std::uint64_t>(
+                        header_->output_size, capacity_))};
 }
 
 void SharedChannel::store_verdict(bool matches_golden, std::uint64_t digest) {

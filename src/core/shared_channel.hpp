@@ -175,11 +175,17 @@ class SharedChannel {
   [[nodiscard]] std::uint64_t heartbeat() const;
   [[nodiscard]] bool output_ready() const;
   [[nodiscard]] bool record_ready() const;
+  /// The child's injection record, sanitized: flags read as bytes,
+  /// progress_fraction clamped to [0, 1] (NaN reads 0), strings
+  /// NUL-terminated. The model field is whatever the child wrote; the
+  /// supervisor overrides it with the launch config's.
   [[nodiscard]] InjectionRecord record() const;
+  /// The child's output bytes, never longer than capacity().
   [[nodiscard]] std::span<const std::byte> output() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Phase transitions the child reported, in order. Read after reaping.
+  /// Phase transitions the child reported, in order, names
+  /// NUL-terminated. Read after reaping.
   [[nodiscard]] std::vector<PhaseRecord> phases() const;
 
   /// Fixed capacity of the phase log.

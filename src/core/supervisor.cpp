@@ -347,6 +347,7 @@ void TrialSupervisor::launch(unsigned slot_index, const TrialConfig* config) {
   }
   slot.active = true;
   slot.injected = config != nullptr;
+  slot.model = config != nullptr ? config->model : FaultModel::kSingle;
   slot.start = start;
   slot.fork_done = seconds_since(start);
   slot.polls = 0;
@@ -770,6 +771,9 @@ TrialResult TrialSupervisor::finalize_slot(Slot& slot, int status,
   result.classify_child_seconds = slot.channel->trial_classify_seconds();
   result.phases = slot.channel->phases();
   if (slot.channel->record_ready()) result.record = slot.channel->record();
+  // The model is the parent's own launch config, never the child's word
+  // for it: tallies index per-model arrays with it.
+  result.record.model = slot.model;
   result.window = windows_ == 0
                       ? 0
                       : std::min(windows_ - 1,

@@ -309,6 +309,7 @@ class TrialSupervisor {
     pid_t pid = -1;
     bool active = false;
     bool injected = false;  ///< launched with an injection config
+    FaultModel model = FaultModel::kSingle;  ///< launched fault model
     Clock::time_point start{};
     Clock::time_point last_beat_time{};
     Clock::time_point last_poll_time{};

@@ -161,21 +161,6 @@ void ledger_append(LoopState& state, LedgerKind kind, const Lease& lease,
   state.ledger->append(record);
 }
 
-telemetry::EstimatorOutcome to_estimator_outcome(fi::Outcome outcome) {
-  switch (outcome) {
-    case fi::Outcome::kSdc:
-      return telemetry::EstimatorOutcome::kSdc;
-    case fi::Outcome::kDue:
-      return telemetry::EstimatorOutcome::kDue;
-    case fi::Outcome::kMasked:
-    case fi::Outcome::kNotInjected:
-      // NotInjected attempts never reach the estimator (advance_fleet
-      // filters them); mapping them like masked keeps this total.
-      return telemetry::EstimatorOutcome::kMasked;
-  }
-  return telemetry::EstimatorOutcome::kMasked;  // unreachable
-}
-
 /// Buffers the per-attempt detail of one accepted DONE range. A count
 /// mismatch (or undecodable payload) drops the detail: the fleet frontier
 /// then stalls at that range, which degrades the live tally to "partial"
@@ -229,16 +214,15 @@ void advance_fleet(LoopState& state) {
         ++fleet.due_kinds[attempt.due_kind];
       }
       if (state.estimator != nullptr) {
-        state.estimator->record(to_estimator_outcome(outcome),
+        state.estimator->record(fi::to_estimator_outcome(outcome),
                                 attempt.model, attempt.window,
                                 attempt.category, attempt.injected);
       }
-      if (fleet.tally.total() >= state.config->trials) {
-        fleet.boundary = true;
-      } else if (fi::campaign_ci_stop_reached(*state.config, fleet.tally)) {
-        fleet.boundary = true;
-        fleet.stopped_early = true;
-      }
+      const fi::CampaignBoundary boundary = fi::campaign_boundary(
+          *state.config, fleet.tally.total(), fleet.tally.sdc);
+      fleet.boundary = boundary != fi::CampaignBoundary::kNone;
+      fleet.stopped_early =
+          boundary == fi::CampaignBoundary::kPrecisionTarget;
     }
     fleet.frontier += it->second.size();
     fleet.details.erase(it);
@@ -435,20 +419,12 @@ bool try_grant(LoopState& state, WorkerConn& conn) {
   return true;
 }
 
-/// The campaign-completion criterion: the contiguous done prefix covers
-/// the trial count, or (with --stop-ci-width) its SDC CI is tight enough.
+/// The campaign boundary over the contiguous done prefix of leases.
 /// Evaluated at lease granularity; the merge truncates at the exact
 /// boundary, so a lease-level overshoot here is harmless.
-bool campaign_done(const LoopState& state, bool* stopped_early) {
-  const std::uint64_t injected = state.table->prefix_injected();
-  if (injected >= state.table->trials()) return true;
-  if (state.config->stop_ci_width > 0.0 && injected > 0 &&
-      util::wilson_interval(state.table->prefix_sdc(), injected)
-              .half_width() <= state.config->stop_ci_width) {
-    *stopped_early = true;
-    return true;
-  }
-  return false;
+fi::CampaignBoundary lease_boundary(const LoopState& state) {
+  return fi::campaign_boundary(*state.config, state.table->prefix_injected(),
+                               state.table->prefix_sdc());
 }
 
 void handle_hello(LoopState& state, WorkerConn& conn, const Message& msg) {
@@ -540,8 +516,7 @@ void handle_message(LoopState& state, WorkerConn& conn, const Message& msg) {
       handle_hello(state, conn, msg);
       break;
     case MsgType::kLeaseRequest: {
-      bool stopped_early = false;
-      if (campaign_done(state, &stopped_early)) {
+      if (lease_boundary(state) != fi::CampaignBoundary::kNone) {
         Message shutdown;
         shutdown.type = MsgType::kShutdown;
         conn.link->send(shutdown);
@@ -801,10 +776,11 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
       result.interrupted = true;
       break;
     }
-    bool stopped_early = false;
-    if (campaign_done(state, &stopped_early)) {
+    const fi::CampaignBoundary boundary = lease_boundary(state);
+    if (boundary != fi::CampaignBoundary::kNone) {
       result.complete = true;
-      result.stopped_early = stopped_early;
+      result.stopped_early =
+          boundary == fi::CampaignBoundary::kPrecisionTarget;
       break;
     }
 

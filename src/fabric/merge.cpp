@@ -76,10 +76,9 @@ MergeSummary merge_shards(const fi::CampaignConfig& config,
   scratch.by_window.resize(time_windows);
   std::vector<const fi::JournalRecord*> selected;
   std::uint64_t expected = 0;
-  std::uint64_t completed = 0;
-  bool boundary = false;
+  fi::CampaignBoundary boundary = fi::campaign_boundary(config, 0, 0);
   for (const fi::JournalRecord& record : pool) {
-    if (boundary) {
+    if (boundary != fi::CampaignBoundary::kNone) {
       ++summary.overshoot;
       continue;
     }
@@ -97,24 +96,20 @@ MergeSummary merge_shards(const fi::CampaignConfig& config,
     selected.push_back(&record);
     fi::accumulate_trial(scratch, record.trial);
     ++expected;
-    if (record.trial.outcome != fi::Outcome::kNotInjected) ++completed;
-    if (completed >= config.trials) {
-      boundary = true;
-    } else if (fi::campaign_ci_stop_reached(config, scratch.overall)) {
-      boundary = true;
-      summary.stopped_early = true;
+    boundary = fi::campaign_boundary(config, scratch.overall.total(),
+                                     scratch.overall.sdc);
+  }
+  const std::uint64_t completed = scratch.overall.total();
+  summary.stopped_early =
+      boundary == fi::CampaignBoundary::kPrecisionTarget;
+  if (boundary == fi::CampaignBoundary::kNone) {
+    if (expected < config.trials * (1 + config.max_retry_factor)) {
+      throw std::runtime_error(
+          "merge refused: shards cover attempts [0, " +
+          std::to_string(expected) + ") with only " +
+          std::to_string(completed) + "/" + std::to_string(config.trials) +
+          " injected trials — the campaign is incomplete");
     }
-  }
-  const std::uint64_t budget =
-      config.trials * (1 + config.max_retry_factor);
-  if (!boundary && expected < budget) {
-    throw std::runtime_error(
-        "merge refused: shards cover attempts [0, " +
-        std::to_string(expected) + ") with only " +
-        std::to_string(completed) + "/" + std::to_string(config.trials) +
-        " injected trials — the campaign is incomplete");
-  }
-  if (!boundary) {
     // The full retry budget is covered without reaching the trial count —
     // the same way a --jobs 1 run ends when NotInjected retries exhaust
     // the budget. Merge what exists; phifi_run will report the shortfall.

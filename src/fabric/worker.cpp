@@ -33,34 +33,6 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-/// Cumulative outcome counts for one lease (what heartbeats and the final
-/// kLeaseDone report).
-struct LeaseCounts {
-  std::uint64_t injected = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t due = 0;
-
-  void add(fi::Outcome outcome) {
-    switch (outcome) {
-      case fi::Outcome::kMasked:
-        ++injected;
-        ++masked;
-        break;
-      case fi::Outcome::kSdc:
-        ++injected;
-        ++sdc;
-        break;
-      case fi::Outcome::kDue:
-        ++injected;
-        ++due;
-        break;
-      case fi::Outcome::kNotInjected:
-        break;
-    }
-  }
-};
-
 struct CurrentLease {
   std::uint64_t id = 0;
   std::uint64_t begin = 0;
@@ -99,7 +71,8 @@ class WorkerLoop {
   bool ensure_link();
   void drain_link();
   void handle(const Message& msg);
-  bool tick();  ///< run_range's on_tick: pump link, heartbeat; false = stop
+  /// run_range's on_tick: pump link, heartbeat; false = cancel the lease.
+  bool tick();
   void maybe_send_stats();
   void execute_lease();
   void send_done();
@@ -131,7 +104,9 @@ class WorkerLoop {
   Clock::time_point next_connect_{Clock::now()};
 
   std::optional<CurrentLease> lease_;
-  LeaseCounts counts_;
+  /// Cumulative outcome counts of the current lease (what heartbeats and
+  /// the final kLeaseDone report).
+  fi::OutcomeTally counts_;
   Clock::time_point last_heartbeat_{};
   // Set by handle() while run_range is inside tick(); examined after.
   bool shutdown_seen_ = false;
@@ -383,7 +358,8 @@ void WorkerLoop::maybe_send_stats() {
 }
 
 bool WorkerLoop::tick() {
-  if (stop_requested()) return false;
+  // A stop request is not a cancel: run_range drains the in-flight
+  // attempts into the shard and reports the lease cancelled.
   // Partition tolerance: keep executing the lease while disconnected —
   // the shard journal is the durable output either way. Reconnect
   // attempts ride the backoff clock; a successful HELLO re-claims the
@@ -401,7 +377,7 @@ bool WorkerLoop::tick() {
       beat.type = MsgType::kHeartbeat;
       beat.worker = result_.worker_id;
       beat.lease = lease_->id;
-      beat.injected = counts_.injected;
+      beat.injected = counts_.total();
       beat.masked = counts_.masked;
       beat.sdc = counts_.sdc;
       beat.due = counts_.due;
@@ -439,7 +415,7 @@ void WorkerLoop::send_done() {
   done.begin = lease_->begin;
   done.end = lease_->end;
   done.progress = lease_->end;
-  done.injected = counts_.injected;
+  done.injected = counts_.total();
   done.masked = counts_.masked;
   done.sdc = counts_.sdc;
   done.due = counts_.due;
@@ -488,11 +464,11 @@ void WorkerLoop::execute_lease() {
   if (first_missing < lease_->end) {
     fi::Campaign campaign(*supervisor_, config_);
     fi::RangeHooks hooks;
+    // Re-executed attempts (post-reclaim overlap) may duplicate records
+    // already in another worker's shard; within THIS shard each index
+    // appears once because run_range starts past first_missing.
+    hooks.journal = shard_.get();
     hooks.on_commit = [this](const fi::JournalRecord& record) {
-      // Re-executed attempts (post-reclaim overlap) may duplicate records
-      // already in another worker's shard; within THIS shard each index
-      // appears once because run_range starts past first_missing.
-      shard_->append(record);
       done_.emplace(record.attempt_index, attempt_from_trial(record.trial));
       counts_.add(record.trial.outcome);
       note_commit(record.trial);

@@ -1,7 +1,9 @@
 // Crash-recovery end-to-end: a campaign SIGKILLed mid-run, resumed from its
 // write-ahead journal, must produce tallies bit-identical to the same
 // campaign run uninterrupted with the same seed.
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -12,9 +14,22 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
+#include "telemetry/metrics.hpp"
 #include "tests/toy_workload.hpp"
+
+// The sanitizer runtimes check memory readability (UBSan's vptr check)
+// through a pipe of their own, so they fail too when the descriptor table
+// is full.
+#if defined(__SANITIZE_ADDRESS__)
+#define PHIFI_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PHIFI_ASAN 1
+#endif
+#endif
 
 namespace phifi::fi {
 namespace {
@@ -37,11 +52,12 @@ CampaignConfig small_campaign(const std::string& journal) {
 }
 
 /// Runs the configured campaign on a fresh toy supervisor.
-CampaignResult run_campaign(const CampaignConfig& config,
-                            const TrialObserver& observer = nullptr) {
+CampaignResult run_campaign(
+    const CampaignConfig& config, const TrialObserver& observer = nullptr,
+    const SupervisorConfig& supervisor_config = toy_supervisor_config()) {
   ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
-                             toy_supervisor_config());
+                             supervisor_config);
   supervisor.prepare_golden();
   Campaign campaign(supervisor, config);
   return campaign.run(observer);
@@ -235,6 +251,102 @@ TEST(CampaignResume, NotInjectedAttemptsKeepSeedStreamAligned) {
   resume_config.stop_flag = nullptr;
   resume_config.resume = true;
   const CampaignResult resumed = run_campaign(resume_config);
+  expect_same_campaign(expected, resumed);
+}
+
+// Infrastructure failures (a trial that cannot even be launched) go
+// through retry/backoff and trip the circuit breaker in both entry points,
+// commit nothing, and leave the journal resumable bit-identically.
+TEST(CampaignResume, CircuitBreakerAbortsWithoutCommittingAndResumes) {
+#ifdef PHIFI_ASAN
+  GTEST_SKIP() << "a full descriptor table also starves the sanitizer "
+                  "runtime's own pipe";
+#endif
+  const std::string reference_path = temp_path("breaker_ref.jnl");
+  const std::string journal = temp_path("breaker.jnl");
+  fs::remove(reference_path);
+  fs::remove(journal);
+  SupervisorConfig warm = toy_supervisor_config();
+  warm.trial_fast_path = true;  // the resettable toy resolves warm mode
+
+  const CampaignResult expected =
+      run_campaign(small_campaign(reference_path), nullptr, warm);
+  const JournalContents reference = read_journal(reference_path);
+  constexpr std::uint64_t kPrefix = 3;
+  ASSERT_GT(reference.records.size(), kPrefix);
+  {
+    // The journal a campaign killed after its first attempts leaves.
+    CampaignJournalWriter writer(journal, reference.header,
+                                 JournalFsync::kOnClose);
+    for (std::uint64_t i = 0; i < kPrefix; ++i) {
+      writer.append(reference.records[i]);
+    }
+    writer.sync();
+  }
+
+  CampaignConfig config = small_campaign(journal);
+  config.resume = true;
+  config.max_consecutive_failures = 3;
+  config.retry_backoff_initial_ms = 1;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ToyWorkload::reset_run_counter();
+    TrialSupervisor supervisor(&phifi::testing::make_toy_normal, warm);
+    supervisor.prepare_golden();
+    supervisor.ensure_slots(1);
+    // Fill every descriptor below a lowered limit, then free exactly one:
+    // enough for the journal, never for a warm trial's exit pipe (two
+    // descriptors), so every launch fails before it forks.
+    rlimit limit{};
+    if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
+    limit.rlim_cur = 64;
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
+    std::vector<int> fillers;
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+      fillers.push_back(fd);
+    }
+    if (fillers.empty()) ::_exit(2);
+    ::close(fillers.back());
+
+    telemetry::MetricsRegistry metrics;
+    config.metrics = &metrics;
+    Campaign campaign(supervisor, config);
+    const CampaignResult result = campaign.run();
+    if (!result.aborted) ::_exit(10);
+    if (result.attempts != kPrefix) ::_exit(11);
+    if (result.overall.total() != kPrefix) ::_exit(12);
+    if (metrics.counter("campaign.infra_failures").value() != 3) ::_exit(13);
+
+    const RangeResult range =
+        campaign.run_range(kPrefix, kPrefix + 4, RangeHooks{});
+    if (!range.aborted || range.cancelled) ::_exit(14);
+    if (range.committed != 0) ::_exit(15);
+    if (metrics.counter("campaign.infra_failures").value() != 6) ::_exit(16);
+    ::_exit(0);
+  }
+  // A breaker that never trips retries forever: bound the wait.
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 3000 && reaped == 0; ++i) {
+    reaped = ::waitpid(pid, &status, WNOHANG);
+    if (reaped == 0) ::usleep(10000);
+  }
+  if (reaped == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    FAIL() << "the circuit breaker did not stop the campaign within 30 s";
+  }
+  ASSERT_EQ(reaped, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  // 2: descriptor setup failed; 10-13: run(); 14-16: run_range().
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  EXPECT_EQ(read_journal(journal).records.size(), kPrefix);
+  config.max_consecutive_failures = CampaignConfig{}.max_consecutive_failures;
+  const CampaignResult resumed = run_campaign(config, nullptr, warm);
+  EXPECT_EQ(resumed.resumed_trials, kPrefix);
+  EXPECT_FALSE(resumed.aborted);
   expect_same_campaign(expected, resumed);
 }
 

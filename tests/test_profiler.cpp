@@ -258,8 +258,8 @@ TEST(ProfilerWire, StatsWithoutProfileDecodeEmpty) {
 }
 
 // Both execution paths — legacy cold-start and the fork-server fast path
-// — must commit one observation per phase per trial, with the right
-// fork_mode stamped on every NDJSON record.
+// — and both scheduler entry points must commit one observation per phase
+// per trial, with the right fork_mode stamped on every NDJSON record.
 class ProfilerCampaignTest : public ::testing::Test {
  protected:
   fi::CampaignResult run_with_profiler(bool fast, unsigned jobs,
@@ -331,6 +331,44 @@ TEST_F(ProfilerCampaignTest, FastPathFeedsEveryPhaseAndMatchesLegacyCount) {
   for (const TrialProfile& trial : contents.trials) {
     EXPECT_EQ(trial.fork_mode, "warm");  // resettable toy resolves warm
   }
+}
+
+// The fabric lease executor passes its shard journal to the same loop, so
+// a range times the journal append and the fsync flush apart, like run().
+TEST_F(ProfilerCampaignTest, RangeWithShardJournalFeedsARealFlush) {
+  const std::string shard_path = temp_path("profiler_range.jnl");
+  fs::remove(shard_path);
+  phifi::testing::ToyWorkload::reset_run_counter();
+  fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
+                                 phifi::testing::toy_supervisor_config());
+  supervisor.prepare_golden();
+  fi::CampaignConfig config;
+  config.trials = 10;
+  config.seed = 0xbeefULL;
+  TrialProfiler profiler;
+  config.profiler = &profiler;
+  fi::JournalHeader header;
+  header.fingerprint = fi::campaign_fingerprint(
+      config, supervisor.workload_name(), supervisor.time_windows());
+  header.time_windows = supervisor.time_windows();
+  header.workload = std::string(supervisor.workload_name());
+  fi::CampaignJournalWriter shard(shard_path, header,
+                                  fi::JournalFsync::kEveryRecord);
+  fi::RangeHooks hooks;
+  hooks.journal = &shard;
+  fi::Campaign campaign(supervisor, config);
+  const fi::RangeResult range = campaign.run_range(0, 10, hooks);
+  EXPECT_EQ(range.committed, 10u);
+  EXPECT_EQ(fi::read_journal(shard_path).records.size(), 10u);
+
+  const ProfileSnapshot snapshot = profiler.snapshot();
+  EXPECT_EQ(snapshot.trials(), 10u);
+  for (std::size_t p = 0; p < kProfilePhaseCount; ++p) {
+    EXPECT_EQ(snapshot.phases[p].count, 10u)
+        << to_string(static_cast<ProfilePhase>(p));
+  }
+  // Ten fsyncs on a disk-backed temp directory take measurable time.
+  EXPECT_GT(snapshot.phase(ProfilePhase::kFlush).sum_us, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace phifi::fi {
 namespace {
@@ -173,6 +175,65 @@ TEST(SharedChannel, ZeroCapacityHandlesEmptyOutput) {
   channel.store_output({});
   EXPECT_TRUE(channel.output_ready());
   EXPECT_TRUE(channel.output().empty());
+}
+
+// A trial child can scribble anywhere in its own address space through an
+// injected pointer fault, the shared mapping included. Whatever bytes it
+// leaves there, the parent-side reads must stay bounded: valid bools,
+// a fraction in [0, 1], NUL-terminated strings, an output span no longer
+// than the capacity, and a bounded phase log.
+TEST(SharedChannel, ParentReadsStayBoundedAfterChildScribbles) {
+  for (const double planted_fraction :
+       {std::numeric_limits<double>::quiet_NaN(), 7.5, -3.0,
+        std::numeric_limits<double>::infinity()}) {
+    SharedChannel channel(16);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // The header sits right before the output payload in the mapping.
+      auto* header = reinterpret_cast<ShmHeader*>(
+          const_cast<std::byte*>(channel.output().data()) -
+          sizeof(ShmHeader));
+      std::memset(static_cast<void*>(&header->record), 0xa5,
+                  sizeof(header->record));
+      std::memcpy(&header->record.progress_fraction, &planted_fraction,
+                  sizeof(planted_fraction));
+      std::memset(static_cast<void*>(header->phases), 0xa5,
+                  sizeof(header->phases));
+      header->output_size = ~std::uint64_t{0};
+      header->phase_count.store(0xffffffffu, std::memory_order_release);
+      header->record_ready.store(1, std::memory_order_release);
+      _exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+    ASSERT_TRUE(channel.record_ready());
+    const InjectionRecord loaded = channel.record();
+    // 0xa5 is not a valid bool representation; it must read as true.
+    EXPECT_TRUE(loaded.injected);
+    EXPECT_TRUE(loaded.changed);
+    EXPECT_GE(loaded.progress_fraction, 0.0) << planted_fraction;
+    EXPECT_LE(loaded.progress_fraction, 1.0) << planted_fraction;
+    EXPECT_LT(::strnlen(loaded.site_name, sizeof(loaded.site_name)),
+              sizeof(loaded.site_name));
+    EXPECT_LT(::strnlen(loaded.category, sizeof(loaded.category)),
+              sizeof(loaded.category));
+    EXPECT_LE(channel.output().size(), channel.capacity());
+    const auto phases = channel.phases();
+    EXPECT_EQ(phases.size(), SharedChannel::kMaxPhases);
+    for (const PhaseRecord& phase : phases) {
+      EXPECT_LT(::strnlen(phase.name, sizeof(phase.name)),
+                sizeof(phase.name));
+    }
+  }
+  // The clamp keeps a well-behaved fraction exactly.
+  SharedChannel channel(16);
+  InjectionRecord record;
+  record.progress_fraction = 0.3125;
+  channel.store_record(record);
+  EXPECT_EQ(channel.record().progress_fraction, 0.3125);
 }
 
 }  // namespace

@@ -111,11 +111,12 @@ class ToyWorkload : public fi::Workload {
     switch (mode_) {
       case Mode::kNormal:
         return;
-      case Mode::kCrash: {
-        volatile int* null_ptr = nullptr;
-        *null_ptr = 1;  // SIGSEGV
+      case Mode::kCrash:
+        // A real SIGSEGV, not a null store: UBSan would catch the store
+        // and exit(1) before the signal, so sanitizer builds would see an
+        // abnormal exit instead of the crash.
+        std::raise(SIGSEGV);
         return;
-      }
       case Mode::kHang: {
         volatile bool forever = true;
         while (forever) {

@@ -81,10 +81,11 @@ struct RunnerConfig {
   unsigned child_cpu_seconds = 0;          ///< 0 = unlimited
   unsigned heartbeat_divisions = 16;       ///< 0 = heartbeat off
   double stall_timeout_seconds = 0.0;      ///< 0 = no early stall kill
-  /// Fork-server trial fast path (--trial-fast-path / `trial_fast_path`):
+  /// Fork-server trial fast path (`trial_fast_path`, on by default):
   /// setup amortized across trials, golden shared via a sealed read-only
-  /// mapping. Tallies are bit-identical to the legacy path.
-  bool trial_fast_path = false;
+  /// mapping. Tallies are bit-identical to the legacy path, which
+  /// `trial_fast_path = false` still selects.
+  bool trial_fast_path = true;
 
   // Campaign failure handling.
   std::size_t max_consecutive_failures = 5;

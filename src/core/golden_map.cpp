@@ -69,7 +69,8 @@ void GoldenMap::reset() {
   sealed_ = false;
 }
 
-void GoldenMap::publish(std::span<const std::byte> golden) {
+void GoldenMap::publish(std::span<const std::byte> golden,
+                        std::uint64_t digest) {
   reset();
   if (golden.empty()) {
     throw std::runtime_error("GoldenMap: empty golden output");
@@ -91,7 +92,7 @@ void GoldenMap::publish(std::span<const std::byte> golden) {
   }
   base_ = base;
   size_ = golden.size();
-  digest_ = fnv1a64(golden);
+  digest_ = digest;
 }
 
 }  // namespace phifi::fi

@@ -33,10 +33,11 @@ class GoldenMap {
   GoldenMap& operator=(const GoldenMap&) = delete;
 
   /// Copies `golden` into a shared read-only mapping (sealed memfd when
-  /// available, plain shared anonymous mapping otherwise) and records its
-  /// digest. Must be called in the campaign process before any trial fork
-  /// so children inherit the mapping. Replaces any previous mapping.
-  void publish(std::span<const std::byte> golden);
+  /// available, plain shared anonymous mapping otherwise) and records
+  /// `digest`, the caller's fnv1a64 of the same bytes (not recomputed).
+  /// Must be called in the campaign process before any trial fork so
+  /// children inherit the mapping. Replaces any previous mapping.
+  void publish(std::span<const std::byte> golden, std::uint64_t digest);
 
   /// Drops the mapping (parent-side only; children keep their inherited
   /// view until they exit).

@@ -64,7 +64,9 @@ struct ShmHeader {
   std::uint32_t trial_model;
   std::uint32_t trial_policy;
   std::uint32_t trial_burst;
-  std::uint64_t output_digest;  ///< FNV-1a 64 of the child's output bytes
+  /// FNV-1a 64 of the child's output bytes; 0 when the child classified
+  /// by memcmp against the mapped golden and had no need to hash.
+  std::uint64_t output_digest;
   std::uint64_t trial_seed;
   double trial_earliest;
   double trial_latest;

@@ -5,6 +5,7 @@
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -127,14 +128,43 @@ bool wake_template_fd(int fd) {
   return util::io::send_some(fd, &wake, 1, MSG_NOSIGNAL) == 1;
 }
 
-/// Busy-waits (1ms naps, bounded) until a pid no longer exists. Used on
-/// orphaned grandchildren after SIGKILL: they reparent to init, so waitpid
-/// cannot observe them, but no verdict/heartbeat write can land after the
-/// process is gone.
+/// Waits (bounded) until a process that may not be our child has exited.
+/// Used on orphaned grandchildren after SIGKILL: once the process is gone,
+/// no verdict/heartbeat write can land. A pidfd turns readable at exit
+/// whether or not we are the parent, so an orphan that lingers as a zombie
+/// (its new parent may reap lazily) counts as gone; a kill(pid, 0) probe
+/// sees the zombie as alive and spins out the whole timeout.
 void wait_pid_gone(pid_t pid, double timeout_seconds) {
+  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (fd >= 0) {
+    pollfd exited{fd, POLLIN, 0};
+    (void)util::io::poll_retry(&exited, 1,
+                               static_cast<int>(timeout_seconds * 1000.0));
+    ::close(fd);
+    return;
+  }
+  if (errno == ESRCH) return;  // already reaped
+  // No pidfd support (pre-5.3 kernel or a seccomp filter): nap-probe.
   const auto start = Clock::now();
   while (::kill(pid, 0) == 0 && seconds_since(start) < timeout_seconds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Closes every descriptor from `first` up, except `keep`. close_range(2)
+/// where the kernel has it (5.9+); otherwise one close per possible fd.
+void close_fds_from(int first, int keep) {
+  const auto from = static_cast<unsigned>(first);
+  const auto kept = static_cast<unsigned>(keep);
+  const bool ranged =
+      (kept <= from || ::close_range(from, kept - 1, 0) == 0) &&
+      ::close_range(std::max(from, kept + 1), ~0U, 0) == 0;
+  if (ranged) return;
+  rlimit limit{};
+  ::getrlimit(RLIMIT_NOFILE, &limit);
+  const rlim_t end = std::min<rlim_t>(limit.rlim_cur, rlim_t{1} << 20);
+  for (rlim_t fd = from; fd < end; ++fd) {
+    if (fd != kept) ::close(static_cast<int>(fd));
   }
 }
 
@@ -185,7 +215,7 @@ void TrialSupervisor::prepare_golden() {
     // restore its post-setup image in place stays warm in this process and
     // trials fork straight from it; otherwise a per-slot template process
     // pays setup once and re-forks grandchildren.
-    golden_map_.publish(golden_);
+    golden_map_.publish(golden_, golden_digest_);
     if (workload->reset()) {
       resolved_mode_ = ForkMode::kWarm;
       warm_workload_ = std::move(workload);
@@ -377,7 +407,7 @@ void TrialSupervisor::spawn_template(unsigned slot_index) {
     throw std::runtime_error("TrialSupervisor: template fork failed");
   }
   if (pid == 0) {
-    template_main(channel, fds[1], fds[0]);  // never returns
+    template_main(channel, fds[1]);  // never returns
   }
   ::close(fds[1]);
   slot.cmd_fd = fds[0];
@@ -543,12 +573,7 @@ bool TrialSupervisor::kill_template_trial(Slot& slot, bool force, int* status,
   if (gpid <= 0) {
     if (!force) return false;  // template hasn't forked yet; retry next poll
     // Wedged template, no grandchild: kill and reap the template itself.
-    if (slot.template_pid > 0) {
-      ::kill(slot.template_pid, SIGKILL);
-      int template_status = 0;
-      (void)waitpid_eintr(slot.template_pid, &template_status, 0);
-      slot.template_pid = -1;
-    }
+    kill_template(slot);
     *status = SIGKILL;  // raw wait status: signaled by SIGKILL
     *escalated = true;
     return true;
@@ -579,14 +604,62 @@ bool TrialSupervisor::kill_template_trial(Slot& slot, bool force, int* status,
   }
   // The grandchild is SIGKILLed but its template never published a status:
   // the template is wedged too. Take it down and synthesize the status.
-  if (slot.template_pid > 0) {
-    ::kill(slot.template_pid, SIGKILL);
-    int template_status = 0;
-    (void)waitpid_eintr(slot.template_pid, &template_status, 0);
-    slot.template_pid = -1;
-  }
+  kill_template(slot);
   *status = SIGKILL;
   return true;
+}
+
+void TrialSupervisor::kill_template(Slot& slot) {
+  const pid_t gpid =
+      slot.channel->status_ready() ? 0 : slot.channel->child_pid();
+  if (gpid > 0) ::kill(gpid, SIGKILL);
+  if (slot.template_pid > 0) {
+    ::kill(slot.template_pid, SIGKILL);
+    int status = 0;
+    (void)waitpid_eintr(slot.template_pid, &status, 0);
+    slot.template_pid = -1;
+  }
+  if (slot.cmd_fd >= 0) {
+    ::close(slot.cmd_fd);
+    slot.cmd_fd = -1;
+  }
+  // With its template gone the grandchild is an orphan, not waitpid-able
+  // here: wait until it has exited so no late write races the channel's
+  // next reset.
+  if (gpid > 0) wait_pid_gone(gpid, 1.0);
+}
+
+void TrialSupervisor::cancel_template_trial(Slot& slot) {
+  // Cancel through the live template: SIGKILL the grandchild once it
+  // exists, let the template reap it and publish the status, and keep the
+  // template (and the setup it paid) for the slot's next trial. A command
+  // still queued on the socket is read, forked and killed the same way.
+  const auto start = Clock::now();
+  const double bound = std::max(1.0, config_.kill_grace_seconds);
+  bool killed = false;
+  while (slot.template_pid > 0 && slot.cmd_fd >= 0 &&
+         !slot.channel->status_ready() && seconds_since(start) < bound) {
+    const pid_t gpid = slot.channel->child_pid();
+    if (gpid > 0 && !killed) {
+      ::kill(gpid, SIGKILL);
+      killed = true;
+    }
+    // The template's completion byte, or a 1 ms tick to re-read the
+    // grandchild pid it publishes after forking.
+    pollfd done{slot.cmd_fd, POLLIN, 0};
+    if (util::io::poll_retry(&done, 1, 1) <= 0) continue;
+    if ((done.revents & POLLIN) != 0) {
+      std::byte consumed;
+      if (util::io::recv_some(slot.cmd_fd, &consumed, 1, MSG_DONTWAIT) == 0) {
+        break;  // EOF: the template is gone
+      }
+    } else {
+      break;  // POLLHUP/POLLERR without data: the template is gone
+    }
+  }
+  // A template that died or wedged (setup that never returns) goes down
+  // with its subtree; the slot's next launch respawns it.
+  if (!slot.channel->status_ready()) kill_template(slot);
 }
 
 void TrialSupervisor::handle_template_death(unsigned slot_index) {
@@ -598,14 +671,9 @@ void TrialSupervisor::handle_template_death(unsigned slot_index) {
   }
   util::log_warn() << name_ << ": template for slot " << slot_index
                    << " died mid-trial; respawning and replaying";
-  // The dead template's grandchild is now an orphan (reparented to init, so
-  // not waitpid-able here). Kill it and wait until it is truly gone before
-  // resetting the channel, so no late write races the replay.
-  const pid_t gpid = slot.channel->child_pid();
-  if (gpid > 0 && !slot.channel->status_ready()) {
-    ::kill(gpid, SIGKILL);
-    wait_pid_gone(gpid, 1.0);
-  }
+  // The dead template's grandchild is now an orphan: kill_template waits
+  // until it is truly gone before the channel is reset for the replay.
+  kill_template(slot);
   slot.channel->reset();
   dispatch_pending(slot_index);
   if (config_.metrics != nullptr) {
@@ -694,25 +762,7 @@ void TrialSupervisor::kill_active_slots() {
   for (Slot& slot : slots_) {
     if (!slot.active) continue;
     if (slot.mode == ForkMode::kTemplate) {
-      // Cancel by killing the whole template subtree: the simplest way to
-      // guarantee no queued wake byte, in-flight command, or late status
-      // publish leaks into the slot's next trial. The next launch pays one
-      // template respawn — cancels only happen at the campaign finish line.
-      if (slot.template_pid > 0) {
-        ::kill(slot.template_pid, SIGKILL);
-        int status = 0;
-        (void)waitpid_eintr(slot.template_pid, &status, 0);
-        slot.template_pid = -1;
-      }
-      if (slot.cmd_fd >= 0) {
-        ::close(slot.cmd_fd);
-        slot.cmd_fd = -1;
-      }
-      const pid_t gpid = slot.channel->child_pid();
-      if (gpid > 0 && !slot.channel->status_ready()) {
-        ::kill(gpid, SIGKILL);
-        wait_pid_gone(gpid, 1.0);
-      }
+      cancel_template_trial(slot);
     } else if (slot.pid > 0) {
       ::kill(slot.pid, SIGKILL);
       int status = 0;
@@ -731,9 +781,9 @@ void TrialSupervisor::kill_active_slots() {
 void TrialSupervisor::shutdown_templates() {
   assert(active_count_ == 0 && "shutdown_templates with trials in flight");
   // Closing the parent end of the command pipe EOFs the template's blocking
-  // read; it _exit(0)s and we reap it. Close ALL pipe ends first: a
-  // template spawned later inherits the parent ends of earlier slots, so
-  // EOF delivery can cascade in reverse spawn order.
+  // read; it _exit(0)s and we reap it. Templates hold no other process's
+  // socket (template_main closes what it inherits), so closing every end
+  // first lets them all exit in parallel.
   for (Slot& slot : slots_) {
     if (slot.cmd_fd >= 0) {
       ::close(slot.cmd_fd);
@@ -942,20 +992,19 @@ void TrialSupervisor::child_main(const TrialConfig* config,
 }
 
 // phicheck:fork-child-entry
-void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd,
-                                    int parent_fd) {
+void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd) {
   // Fork-server process: pay factory + setup + register_sites ONCE, then
   // loop re-forking trial grandchildren from this warm image on command.
   // COW gives every grandchild a pristine copy of the post-setup state, so
   // in-place mutation by one trial can never leak into the next.
   //
-  // Inherited parent-side pipe ends are closed first — ours so the
-  // parent's close reliably reads as EOF, the other slots' so their
-  // shutdown does not wait on this process.
-  ::close(parent_fd);
-  for (const Slot& other : slots_) {
-    if (other.cmd_fd >= 0 && other.cmd_fd != cmd_fd) ::close(other.cmd_fd);
-  }
+  // Every inherited descriptor but stdio and the command socket is closed
+  // first: the parent end of our own socketpair, so the parent's close
+  // reads as EOF here; every other command socket in the campaign process
+  // (other slots', other supervisors'), so their shutdown never waits on
+  // this process; and any campaign socket or file, which this process
+  // would otherwise hold open for its whole life.
+  close_fds_from(3, cmd_fd);
   // phicheck:fork-workload-entry — setup runs workload code; a crash here
   // surfaces as a template death and the parent respawns (bounded).
   try {
@@ -1066,16 +1115,18 @@ void TrialSupervisor::fast_trial_main(Workload& workload,
     progress.finish();
 
     // Classify in place: memcmp against the inherited golden mapping, or
-    // digest-only when the golden was adopted from a journal.
+    // digest-only when the golden was adopted from a journal. The
+    // byte-serial digest is paid only where it decides the verdict.
     const auto classify_start = Clock::now();
     const auto output = workload.output_bytes();
-    const std::uint64_t digest = fnv1a64(output);
+    std::uint64_t digest = 0;
     bool matches;
     if (golden_map_.mapped()) {
       matches = output.size() == golden_map_.size() &&
                 std::memcmp(output.data(), golden_map_.golden().data(),
                             output.size()) == 0;
     } else {
+      digest = fnv1a64(output);
       matches = output.size() == output_capacity_ && digest == golden_digest_;
     }
     // SDC ships the corrupted bytes for parent-side analysis; Masked ships

@@ -248,9 +248,10 @@ class TrialSupervisor {
   /// sleeping, preserving the pre-fast-path schedule exactly.
   void wait_for_completion();
 
-  /// SIGKILLs and reaps every active slot without classifying — used to
-  /// cancel speculative attempts past the campaign's finish line and to
-  /// tear down on abort.
+  /// SIGKILLs and reaps every active slot's trial without classifying —
+  /// used to cancel speculative attempts past the campaign's finish line
+  /// and to tear down on abort. Template-mode trials are cancelled through
+  /// their live template, which keeps serving the slot.
   void kill_active_slots();
 
   [[nodiscard]] std::span<const std::byte> golden() const { return golden_; }
@@ -349,12 +350,19 @@ class TrialSupervisor {
   /// poll); with `force`, kills the whole template subtree.
   bool kill_template_trial(Slot& slot, bool force, int* status,
                            bool* escalated);
+  /// Takes the slot's template subtree down: SIGKILLs the grandchild and
+  /// the template, reaps the template, closes the command socket and waits
+  /// until the orphaned grandchild has exited. The next launch respawns.
+  void kill_template(Slot& slot);
+  /// Cancels the slot's in-flight trial through its live template (kill
+  /// the grandchild, wait for the published status) so the template keeps
+  /// serving; falls back to kill_template() when it is dead or wedged.
+  void cancel_template_trial(Slot& slot);
   /// Reap-pass handler for a template process that died mid-campaign.
   void handle_template_death(unsigned slot);
   /// Template process body: setup once, then loop re-forking trial
   /// grandchildren from the warm image on command.
-  [[noreturn]] void template_main(SharedChannel* channel, int cmd_fd,
-                                  int parent_fd);
+  [[noreturn]] void template_main(SharedChannel* channel, int cmd_fd);
   /// Fast-path trial body, shared by warm children and template
   /// grandchildren: inject, run, classify in place, ship the verdict.
   [[noreturn]] void fast_trial_main(Workload& workload, SiteRegistry& registry,

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -110,7 +111,7 @@ TEST(FastPath, GoldenMapPublishesSealedReadOnlyCopy) {
   for (std::size_t i = 0; i < golden.size(); ++i) {
     golden[i] = static_cast<std::byte>(i * 7);
   }
-  map.publish(golden);
+  map.publish(golden, fnv1a64(golden));
   ASSERT_TRUE(map.mapped());
   ASSERT_EQ(map.size(), golden.size());
   EXPECT_EQ(map.digest(), fnv1a64(golden));
@@ -330,6 +331,136 @@ TEST(FastPath, TemplateDeathMidTrialReplaysDeterministically) {
   EXPECT_EQ(replayed.record.site_index, reference.record.site_index);
   EXPECT_EQ(replayed.record.element_index, reference.record.element_index);
   EXPECT_EQ(replayed.record.flipped_bits[0], reference.record.flipped_bits[0]);
+}
+
+/// Runs `body` in a forked child in its own process group and waits at
+/// most `limit_seconds` for it: a hang (say, a supervisor destructor stuck
+/// in waitpid) fails the test instead of stalling the suite. Returns the
+/// child's exit code, or -1 when it had to be killed.
+int run_bounded(const std::function<int()>& body, double limit_seconds) {
+  const pid_t pid = ::fork();
+  if (pid < 0) return -2;
+  if (pid == 0) {
+    ::setpgid(0, 0);
+    int code = 1;
+    try {
+      code = body();
+    } catch (...) {
+      code = 2;
+    }
+    ::_exit(code);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+             .count() < limit_seconds) {
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -3;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The whole group: the child and the templates it forked.
+  ::kill(-pid, SIGKILL);
+  int status = 0;
+  (void)::waitpid(pid, &status, 0);
+  return -1;
+}
+
+TEST(FastPath, TwoTemplateSupervisorsInOneProcessTearDown) {
+  // A template inherits every descriptor of the campaign process. Unless it
+  // closes them, a later supervisor's templates hold an earlier
+  // supervisor's command sockets open, and the earlier destructor waits
+  // forever for its templates to see EOF.
+  const int code = run_bounded(
+      [] {
+        ToyWorkload::reset_run_counter();
+        auto first = std::make_unique<TrialSupervisor>(
+            &phifi::testing::make_toy_no_reset, fast_supervisor_config());
+        first->prepare_golden();
+        auto second = std::make_unique<TrialSupervisor>(
+            &phifi::testing::make_toy_no_reset, fast_supervisor_config());
+        second->prepare_golden();
+        if (first->fork_mode() != ForkMode::kTemplate ||
+            second->fork_mode() != ForkMode::kTemplate) {
+          return 3;
+        }
+        const CampaignResult a =
+            Campaign(*first, fastpath_campaign(3, "")).run();
+        const CampaignResult b =
+            Campaign(*second, fastpath_campaign(3, "")).run();
+        // The child's gtest failures print here but cannot fail the test
+        // in the parent; the exit code carries them.
+        expect_same_campaign(a, b);
+        if (::testing::Test::HasFailure() || a.overall.total() != 12) return 4;
+        // Creation order: the first supervisor's templates are the ones
+        // the second's could hold open.
+        first.reset();
+        second.reset();
+        return 0;
+      },
+      10.0);
+  EXPECT_EQ(code, 0) << "-1: teardown hung past the 10 s limit";
+}
+
+TEST(FastPath, BoundaryCancelKeepsTemplatesAndReturnsPromptly) {
+  // Cancelling an in-flight template-mode attempt at the campaign boundary
+  // goes through the live template: the grandchild is killed and reaped by
+  // its template, which keeps serving the slot. Killing the template
+  // instead orphans the grandchild, and waiting for an orphan that lingers
+  // as a zombie cost up to a second per cancelled slot.
+  ToyWorkload::reset_run_counter();
+  TrialSupervisor supervisor(&phifi::testing::make_toy_no_reset,
+                             fast_supervisor_config());
+  supervisor.prepare_golden();
+  ASSERT_EQ(supervisor.fork_mode(), ForkMode::kTemplate);
+  using SteadyClock = std::chrono::steady_clock;
+
+  // Time from the campaign's last commit to run() returning: the boundary
+  // cancel of whatever attempts were still in flight.
+  const auto run_timed = [&supervisor](double* teardown_seconds) {
+    SteadyClock::time_point last_commit = SteadyClock::now();
+    const CampaignResult result = Campaign(supervisor, fastpath_campaign(3, ""))
+        .run([&last_commit](const TrialResult&, std::span<const std::byte>) {
+          last_commit = SteadyClock::now();
+        });
+    *teardown_seconds =
+        std::chrono::duration<double>(SteadyClock::now() - last_commit)
+            .count();
+    return result;
+  };
+  double teardown = 0.0;
+  const CampaignResult first = run_timed(&teardown);
+  EXPECT_LT(teardown, 0.5);
+  std::vector<pid_t> templates;
+  for (unsigned slot = 0; slot < 3; ++slot) {
+    templates.push_back(supervisor.slot_template_pid(slot));
+    EXPECT_GT(templates.back(), 0) << "slot " << slot;
+  }
+
+  const CampaignResult second = run_timed(&teardown);
+  EXPECT_LT(teardown, 0.5);
+  expect_same_campaign(first, second);
+
+  // The same cancel on demand, with every slot in flight — some templates
+  // still reading their command, some grandchildren already running.
+  for (unsigned slot = 0; slot < 3; ++slot) {
+    supervisor.start_trial(slot, {.trial_seed = 0xc0ffeeULL + slot});
+  }
+  const auto cancel_start = SteadyClock::now();
+  supervisor.kill_active_slots();
+  EXPECT_LT(std::chrono::duration<double>(SteadyClock::now() - cancel_start)
+                .count(),
+            0.5);
+  EXPECT_EQ(supervisor.active_slots(), 0u);
+
+  const CampaignResult third = run_timed(&teardown);
+  expect_same_campaign(first, third);
+  EXPECT_EQ(supervisor.template_respawns(), 0u);
+  for (unsigned slot = 0; slot < 3; ++slot) {
+    EXPECT_EQ(supervisor.slot_template_pid(slot), templates[slot])
+        << "slot " << slot;
+  }
 }
 
 TEST(FastPath, AdoptedGoldenRunsTrialsWithoutAGoldenRun) {

@@ -64,8 +64,9 @@ int main(int argc, char** argv) {
               << "                   half-width is <= eps (e.g. 0.005)\n"
               << "  --trial-fast-path\n"
                  "                   fork trials from a warm post-setup\n"
-                 "                   image (fork-server fast path); tallies\n"
-                 "                   stay bit-identical to the default path\n"
+                 "                   image (fork-server fast path, the\n"
+                 "                   default; `trial_fast_path = false`\n"
+                 "                   selects the bit-identical legacy path)\n"
               << "  --profile        write one NDJSON latency-anatomy\n"
                  "                   record per committed trial (read with\n"
                  "                   phifi_parse --profile)\n"
@@ -317,10 +318,26 @@ int main(int argc, char** argv) {
       const cli::RunSummary summary = cli::run_from_config(config, std::cout);
       std::cout << "\n";
       if (summary.interrupted || summary.aborted) {
-        if (!config.journal_file.empty()) {
+        // The restart command depends on the role: a worker rejoins with
+        // its shard journal (the coordinator re-adopts its lease), a
+        // coordinator restarts on its lease ledger, and only a
+        // single-process campaign resumes its own journal.
+        std::string restart;
+        if (!config.fabric_connect.empty()) {
+          restart = " --connect " + config.fabric_connect +
+                    " --shard-journal " + config.fabric_shard;
+        } else if (!config.fabric_listen.empty()) {
+          if (!config.fabric_ledger.empty()) {
+            restart = " --coordinator " + config.fabric_listen +
+                      " --lease-ledger " + config.fabric_ledger;
+          }
+        } else if (!config.journal_file.empty()) {
+          restart = " --resume";
+        }
+        if (!restart.empty()) {
           std::cout << (summary.interrupted ? "interrupted" : "aborted")
                     << "; completed trials are journaled. Resume with:\n"
-                    << "  " << argv[0] << " " << argv[1] << " --resume\n";
+                    << "  " << argv[0] << " " << argv[1] << restart << "\n";
         }
         return summary.interrupted ? 130 : 1;
       }
